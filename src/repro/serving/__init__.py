@@ -26,6 +26,8 @@ deterministic discrete-event simulator over the cycle-level
 * :mod:`~repro.serving.sessions` — closed-loop session traffic: a fixed
   user population with think-time loops and multi-turn conversations, so
   offered load responds to observed latency (``repro serve --sessions``),
+* :mod:`~repro.serving.closed_loop` — the scalar event loop session and
+  fleet-controller (:mod:`~repro.serving.control`) runs share,
 * :mod:`~repro.serving.metrics` — tail latency, goodput under SLO,
   saturation summaries and resilience accounting (losses, tail
   inflation, recovery time) over full-trace or streamed results,

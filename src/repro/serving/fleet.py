@@ -111,9 +111,13 @@ class ChipView(Protocol):
         ...
 
 
-def _pending(chip: ChipView) -> int:
-    """Requests a chip still owes: queued plus currently executing."""
-    return chip.queue_depth + chip.inflight
+def _least_pending(chips: Sequence[ChipView]) -> int:
+    """``chip_id`` of the chip with the least queued-plus-executing work.
+
+    Ties go to the first chip: the lowest id, as ``chips`` come in id order.
+    """
+    loads = [chip.queue_depth + chip.inflight for chip in chips]
+    return chips[loads.index(min(loads))].chip_id
 
 
 class Router:
@@ -122,8 +126,34 @@ class Router:
     name = "base"
 
     def route(self, request: Request, chips: Sequence[ChipView]) -> int:
-        """Index of the chip that should enqueue ``request``."""
+        """``chip_id`` of the chip that should enqueue ``request``.
+
+        ``chips`` are the chips that may take the request, in ascending
+        id order: the whole fleet, or a subset of it (a fleet controller
+        routes over the chips that are warm and not draining).
+        """
         raise NotImplementedError
+
+
+class _OwnersRouter(Router):
+    """Routes to the least-loaded chip among a workload's ``owners``."""
+
+    owners: dict[str, tuple[int, ...]]
+    #: error prefix for a workload without owners
+    unowned = "router has no owners for"
+
+    def route(self, request, chips):
+        """The least-loaded routable chip owning the request's workload."""
+        owners = self.owners.get(request.workload)
+        if owners is None:
+            raise ServingError(f"{self.unowned} workload '{request.workload}'")
+        candidates = [chip for chip in chips if chip.chip_id in owners]
+        if not candidates:
+            raise ServingError(
+                f"no chip owning workload '{request.workload}' is among the "
+                f"{len(chips)} routable chip(s)"
+            )
+        return _least_pending(candidates)
 
 
 class RoundRobinRouter(Router):
@@ -136,9 +166,9 @@ class RoundRobinRouter(Router):
 
     def route(self, request, chips):
         """The next chip in cyclic order, regardless of load."""
-        chosen = self._next % len(chips)
+        chosen = chips[self._next % len(chips)]
         self._next += 1
-        return chosen
+        return chosen.chip_id
 
 
 class JoinShortestQueueRouter(Router):
@@ -148,10 +178,10 @@ class JoinShortestQueueRouter(Router):
 
     def route(self, request, chips):
         """The chip with the least pending work (lowest id breaks ties)."""
-        return min(chips, key=lambda chip: (_pending(chip), chip.chip_id)).chip_id
+        return _least_pending(chips)
 
 
-class WorkloadAffinityRouter(Router):
+class WorkloadAffinityRouter(_OwnersRouter):
     """Shard workloads across chips; least-loaded owner wins.
 
     Chips are dealt to workloads round-robin (chip ``i`` serves workload
@@ -161,6 +191,7 @@ class WorkloadAffinityRouter(Router):
     """
 
     name = "affinity"
+    unowned = "affinity router has no shard for"
 
     def __init__(self, num_chips: int, workloads: Sequence[str]) -> None:
         if num_chips < 1:
@@ -175,19 +206,8 @@ class WorkloadAffinityRouter(Router):
             )
             self.owners[name] = owned or (index % num_chips,)
 
-    def route(self, request, chips):
-        """The least-loaded chip among the workload's shard owners."""
-        try:
-            owners = self.owners[request.workload]
-        except KeyError:
-            raise ServingError(
-                f"affinity router has no shard for workload '{request.workload}'"
-            ) from None
-        candidates = [chips[chip_id] for chip_id in owners]
-        return min(candidates, key=lambda chip: (_pending(chip), chip.chip_id)).chip_id
 
-
-class SymbolicAffinityRouter(Router):
+class SymbolicAffinityRouter(_OwnersRouter):
     """Heterogeneous-fleet affinity keyed on native symbolic support.
 
     Chips whose backend exposes the reconfigurable symbolic mode (the
@@ -199,6 +219,7 @@ class SymbolicAffinityRouter(Router):
     """
 
     name = "symbolic_affinity"
+    unowned = "symbolic-affinity router has no pool for"
 
     def __init__(
         self,
@@ -233,19 +254,8 @@ class SymbolicAffinityRouter(Router):
                 self.symbolic_pool if fraction >= threshold else self.neural_pool
             )
 
-    def route(self, request, chips):
-        """The least-loaded chip of the workload's symbolic/neural pool."""
-        owners = self.owners.get(request.workload)
-        if owners is None:
-            raise ServingError(
-                "symbolic-affinity router has no pool for workload "
-                f"'{request.workload}'"
-            )
-        candidates = [chips[chip_id] for chip_id in owners]
-        return min(candidates, key=lambda chip: (_pending(chip), chip.chip_id)).chip_id
 
-
-class FixedOwnersRouter(Router):
+class FixedOwnersRouter(_OwnersRouter):
     """Affinity router with an injected, pre-computed ownership table.
 
     The sharding layer uses this to rebuild a shard's slice of a parent
@@ -258,6 +268,7 @@ class FixedOwnersRouter(Router):
     """
 
     name = "fixed_owners"
+    unowned = "fixed-owners router has no owners for"
 
     def __init__(self, owners: Mapping[str, Sequence[int]]) -> None:
         if not owners:
@@ -270,17 +281,6 @@ class FixedOwnersRouter(Router):
                 raise ServingError(
                     f"fixed-owners router has an empty pool for '{workload}'"
                 )
-
-    def route(self, request, chips):
-        """The least-loaded chip among the workload's fixed owners."""
-        owners = self.owners.get(request.workload)
-        if owners is None:
-            raise ServingError(
-                "fixed-owners router has no owners for workload "
-                f"'{request.workload}'"
-            )
-        candidates = [chips[chip_id] for chip_id in owners]
-        return min(candidates, key=lambda chip: (_pending(chip), chip.chip_id)).chip_id
 
 
 #: names accepted by :func:`build_router`

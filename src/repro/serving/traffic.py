@@ -27,6 +27,7 @@ from repro.workloads.registry import WORKLOAD_BUILDERS
 
 __all__ = [
     "Request",
+    "MixSampler",
     "WorkloadMix",
     "ArrivalProcess",
     "PoissonArrivals",
@@ -34,6 +35,7 @@ __all__ = [
     "TraceArrivals",
     "SEED_STRIDE",
     "concatenate_segments",
+    "normalize_mix",
 ]
 
 #: sub-seed stride between chained generation segments.  Shared by
@@ -59,6 +61,44 @@ class Request:
             )
 
 
+def normalize_mix(
+    weights: Mapping[str, float], what: str = "workload mix"
+) -> tuple[tuple[str, float], ...]:
+    """Validated ``(name, probability)`` pairs of a weight mapping.
+
+    Sorted name order makes sampling independent of dict insertion order.
+    """
+    if not weights:
+        raise ServingError(f"{what} must name at least one workload")
+    if any(weight < 0 for weight in weights.values()):
+        raise ServingError(f"{what} weights must be non-negative")
+    total = float(sum(weights.values()))
+    if total <= 0:
+        raise ServingError(f"{what} weights must sum to a positive value")
+    return tuple((name, weights[name] / total) for name in sorted(weights))
+
+
+class MixSampler:
+    """Draws workload names from a fixed discrete distribution.
+
+    Runs the same algorithm as ``rng.choice(len(names), p=probabilities)``
+    — one ``rng.random()`` searched in the normalized cumulative sum — so
+    it consumes the same random stream and returns the same names, but
+    builds the CDF once instead of re-validating ``p`` on every draw.
+    """
+
+    __slots__ = ("names", "cdf")
+
+    def __init__(self, names: Sequence[str], probabilities: Sequence[float]):
+        self.names = tuple(names)
+        cdf = np.cumsum(np.asarray(probabilities, dtype=float))
+        cdf /= cdf[-1]
+        self.cdf = cdf
+
+    def __call__(self, rng: np.random.Generator) -> str:
+        return self.names[int(self.cdf.searchsorted(rng.random(), side="right"))]
+
+
 class WorkloadMix:
     """A normalised distribution over workload names.
 
@@ -67,24 +107,16 @@ class WorkloadMix:
     """
 
     def __init__(self, weights: Mapping[str, float]) -> None:
-        if not weights:
-            raise ServingError("workload mix must name at least one workload")
         unknown = set(weights) - set(WORKLOAD_BUILDERS)
         if unknown:
             raise ServingError(
                 f"workload mix names unknown workloads {sorted(unknown)}; "
                 f"known: {sorted(WORKLOAD_BUILDERS)}"
             )
-        if any(weight < 0 for weight in weights.values()):
-            raise ServingError("workload mix weights must be non-negative")
-        total = float(sum(weights.values()))
-        if total <= 0:
-            raise ServingError("workload mix weights must sum to a positive value")
-        # Sorted name order makes sampling independent of dict insertion order.
-        self.names: tuple[str, ...] = tuple(sorted(weights))
-        self.probabilities: tuple[float, ...] = tuple(
-            weights[name] / total for name in self.names
-        )
+        pairs = normalize_mix(weights)
+        self.names: tuple[str, ...] = tuple(name for name, _ in pairs)
+        self.probabilities: tuple[float, ...] = tuple(prob for _, prob in pairs)
+        self._sampler = MixSampler(self.names, self.probabilities)
 
     @classmethod
     def uniform(cls, names: Iterable[str] | None = None) -> "WorkloadMix":
@@ -94,8 +126,7 @@ class WorkloadMix:
 
     def sample(self, rng: np.random.Generator) -> str:
         """Draw one workload name."""
-        index = rng.choice(len(self.names), p=self.probabilities)
-        return self.names[int(index)]
+        return self._sampler(rng)
 
 
 class ArrivalProcess:

@@ -296,6 +296,31 @@ class TestAdmission:
 
 
 class TestAdaptiveKnobs:
+    def test_policy_restored_when_the_run_raises(self):
+        """A run that fails mid-way leaves the caller's policy as it was."""
+        policy = ContinuousBatching(max_batch_size=8)
+
+        class FailingModel(FakeServiceModel):
+            """Raises as soon as the controller has retuned the batch cap."""
+
+            def service_seconds(self, workload, batch_size):
+                if policy.max_batch_size != 8:
+                    raise ServingError("service model failed mid-run")
+                return super().service_seconds(workload, batch_size)
+
+        sim = ServingSimulator(
+            service_model=FailingModel(),
+            fleet=Fleet(num_chips=2, router="jsq"),
+            batching_policy=policy,
+        )
+        stream = [Request(i, "nvsa", 0.0005 * i) for i in range(400)]
+        config = ControllerConfig(
+            policy="target_util", slo_s=0.001, max_chips=2, admission=False,
+        )
+        with pytest.raises(ServingError, match="failed mid-run"):
+            run_controlled(sim, config, stream)
+        assert (policy.max_batch_size, policy.single_group_cap) == (8, 8)
+
     def test_batching_retunes_and_restores_the_policy(self):
         policy = ContinuousBatching(max_batch_size=2)
         stream = [Request(i, "nvsa", 0.0005 * i) for i in range(150)]

@@ -8,6 +8,7 @@ from repro.backends import cache as cache_module
 from repro.errors import ServingError
 from repro.serving.fleet import (
     AcceleratorServiceModel,
+    FixedOwnersRouter,
     Fleet,
     JoinShortestQueueRouter,
     RoundRobinRouter,
@@ -91,6 +92,46 @@ class TestJoinShortestQueueRouter:
         router = JoinShortestQueueRouter()
         chips = [StubChip(0), StubChip(1)]
         assert router.route(_request(), chips) == 0
+
+
+class TestRoutingOverAChipSubset:
+    """Every router returns a ``chip_id``, not a position in ``chips``.
+
+    A fleet controller routes over the chips that accept new work, so the
+    chips a router sees need not be the whole fleet in id order.
+    """
+
+    SUBSET = (1, 3)
+
+    def _chips(self, **depths):
+        return [
+            StubChip(chip_id, queue_depth=depths.get(f"chip{chip_id}", 0))
+            for chip_id in self.SUBSET
+        ]
+
+    def test_round_robin_cycles_through_subset_ids(self):
+        router = RoundRobinRouter()
+        chips = self._chips()
+        assert [router.route(_request(), chips) for _ in range(4)] == [1, 3, 1, 3]
+
+    def test_jsq_returns_the_least_loaded_chip_id(self):
+        router = JoinShortestQueueRouter()
+        assert router.route(_request(), self._chips(chip1=2)) == 3
+        assert router.route(_request(), self._chips()) == 1
+
+    def test_owner_routers_pick_among_routable_owners(self):
+        affinity = WorkloadAffinityRouter(4, ("lvrf", "mimonet"))
+        assert affinity.owners["mimonet"] == (1, 3)
+        chips = self._chips(chip1=4)
+        assert affinity.route(_request("mimonet"), chips) == 3
+        fixed = FixedOwnersRouter({"nvsa": (0, 1)})
+        assert fixed.route(_request("nvsa"), chips) == 1
+
+    def test_no_routable_owner_is_an_error(self):
+        affinity = WorkloadAffinityRouter(4, ("lvrf", "mimonet"))
+        assert affinity.owners["lvrf"] == (0, 2)
+        with pytest.raises(ServingError, match="no chip owning workload 'lvrf'"):
+            affinity.route(_request("lvrf"), self._chips())
 
 
 class TestWorkloadAffinityRouter:

@@ -1,9 +1,11 @@
 """Tests for the seeded arrival-process generators."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ServingError
 from repro.serving.traffic import (
+    MixSampler,
     MMPPArrivals,
     PoissonArrivals,
     Request,
@@ -39,6 +41,33 @@ class TestWorkloadMix:
     def test_invalid_mixes_rejected(self, weights):
         with pytest.raises(ServingError):
             WorkloadMix(weights)
+
+
+class TestMixSampler:
+    @pytest.mark.parametrize(
+        "probabilities",
+        [(0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4), (0.5, 0.0, 0.5),
+         (1 / 3, 1 / 3, 1 / 3), (1.0,)],
+    )
+    def test_matches_rng_choice_draw_for_draw(self, probabilities):
+        """Same names as ``rng.choice(n, p=...)`` from the same stream."""
+        names = tuple(f"w{index}" for index in range(len(probabilities)))
+        sampler = MixSampler(names, probabilities)
+        reference = np.random.default_rng(11)
+        rng = np.random.default_rng(11)
+        expected = [
+            names[int(reference.choice(len(names), p=probabilities))]
+            for _ in range(2000)
+        ]
+        assert [sampler(rng) for _ in range(2000)] == expected
+        # ...and leaves the generator in the same state.
+        assert rng.random() == reference.random()
+
+    def test_workload_mix_samples_through_it(self):
+        mix = WorkloadMix({"nvsa": 3.0, "mimonet": 1.0})
+        sampler = MixSampler(mix.names, mix.probabilities)
+        draws = [mix.sample(np.random.default_rng(5)) for _ in range(3)]
+        assert draws == [sampler(np.random.default_rng(5))] * 3
 
 
 class TestPoissonArrivals:
